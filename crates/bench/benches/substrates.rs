@@ -95,31 +95,26 @@ fn bench_event_queue(filter: Option<&str>) {
     // The flow-world shape at scale: a deep queue (tens of thousands of
     // pending ticks/dials spread over minutes of virtual time), popped in
     // order with each pop rescheduling a tick a few hundred ms ahead.
-    for (name, sched) in [
-        ("heap", simnet::event::Scheduler::Heap),
-        ("wheel", simnet::event::Scheduler::Wheel),
-    ] {
-        bench(filter, &format!("event_queue/deep_churn_64k_{name}"), || {
-            let mut q = EventQueue::with_scheduler(sched);
-            let mut t: u64 = 0x9E3779B97F4A7C15;
-            for i in 0..65_536u64 {
-                t = t
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                q.schedule_at(SimTime::from_micros(t % 120_000_000), i);
-            }
-            let mut sum = 0u64;
-            for _ in 0..65_536u64 {
-                let (at, e) = q.pop().expect("queue pre-filled");
-                sum = sum.wrapping_add(e);
-                q.schedule_at(at + SimDuration::from_millis(200), e);
-            }
-            while let Some((_, e)) = q.pop() {
-                sum = sum.wrapping_add(e);
-            }
-            sum
-        });
-    }
+    bench(filter, "event_queue/deep_churn_64k", || {
+        let mut q = EventQueue::new();
+        let mut t: u64 = 0x9E3779B97F4A7C15;
+        for i in 0..65_536u64 {
+            t = t
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            q.schedule_at(SimTime::from_micros(t % 120_000_000), i);
+        }
+        let mut sum = 0u64;
+        for _ in 0..65_536u64 {
+            let (at, e) = q.pop().expect("queue pre-filled");
+            sum = sum.wrapping_add(e);
+            q.schedule_at(at + SimDuration::from_millis(200), e);
+        }
+        while let Some((_, e)) = q.pop() {
+            sum = sum.wrapping_add(e);
+        }
+        sum
+    });
 }
 
 fn bench_reassembly(filter: Option<&str>) {

@@ -1,30 +1,23 @@
-//! Large-swarm scale sweep: wall-clock scaling of the flow world under
-//! the heap and wheel event-queue schedulers.
+//! Large-swarm scale sweep: wall-clock scaling of the flow world.
 //!
-//! For every swarm size the same seeded run executes once per scheduler;
-//! the two runs must produce identical observables (a built-in
-//! differential check on top of the unit-level one), and the wall-clock
-//! per simulated second of each lands in `BENCH_scale.json`.
-//!
-//! Each timed run executes in a fresh child process (the binary re-execs
-//! itself with a hidden `--one` flag): back-to-back multi-minute runs in
-//! one process let allocator and page-cache warm-up leak from one
-//! scheduler's measurement into the next, which at the 2048-peer scale
-//! is the same order as the scheduler difference being measured.
+//! For every swarm size the same seeded run executes twice, each in a
+//! fresh child process (the binary re-execs itself with a hidden `--one`
+//! flag), so allocator and page-cache warm-up cannot leak from one
+//! measurement into the next. The two runs must produce identical
+//! observables — a cross-process determinism check — and the faster
+//! run's wall-clock per simulated second lands in `BENCH_scale.json`.
 //!
 //! Flags: `--paper` (paper-scale durations), `--max-size N` (cap the
 //! size axis — the CI smoke job uses this), `--xl` (append 16k/65k
-//! wheel-only trend rows), `--metrics-out DIR`.
+//! trend rows), `--metrics-out DIR`.
 //!
-//! XL rows run the wheel scheduler once (no heap counterpart, no
-//! repeat): at 65k peers the point is the wall/vsec trend line the
-//! incremental solver bends, not a scheduler differential — their
+//! XL rows run once (no repeat): at 65k peers the point is the
+//! wall/vsec trend line the incremental solver bends — their
 //! `identical` field is `null` in `BENCH_scale.json`.
 
 use p2p_simulation::experiments::scale::{
-    run_scale_once_sched, scale_table, run_scale_with, ScaleCell, ScaleParams, SCALE_SEED,
+    run_scale_once, scale_table, run_scale_with, ScaleCell, ScaleParams, SCALE_SEED,
 };
-use simnet::event::Scheduler;
 use std::process::Command;
 use std::time::Instant;
 use wp2p_bench::{
@@ -34,10 +27,9 @@ use wp2p_bench::{
 struct SizeResult {
     peers: usize,
     cell: ScaleCell,
-    /// `None` on wheel-only XL trend rows.
-    heap_wall: Option<f64>,
-    wheel_wall: f64,
-    /// `None` when no differential ran (XL trend rows).
+    /// Fastest wall-clock seconds over the size's runs.
+    wall: f64,
+    /// `None` when the size ran once (XL trend rows).
     identical: Option<bool>,
 }
 
@@ -53,27 +45,22 @@ fn xl_from_args() -> bool {
     std::env::args().any(|a| a == "--xl")
 }
 
-/// Hidden child mode: `--one SIZE SCHED SEED` runs a single timed cell
-/// and prints one machine-readable line on stdout for the parent.
-fn one_from_args() -> Option<(usize, Scheduler, u64)> {
+/// Hidden child mode: `--one SIZE SEED` runs a single timed cell and
+/// prints one machine-readable line on stdout for the parent.
+fn one_from_args() -> Option<(usize, u64)> {
     let args: Vec<String> = std::env::args().collect();
     let i = args.iter().position(|a| a == "--one")?;
     let size = args.get(i + 1)?.parse().ok()?;
-    let sched = match args.get(i + 2)?.as_str() {
-        "heap" => Scheduler::Heap,
-        "wheel" => Scheduler::Wheel,
-        _ => return None,
-    };
-    let seed = args.get(i + 3)?.parse().ok()?;
-    Some((size, sched, seed))
+    let seed = args.get(i + 2)?.parse().ok()?;
+    Some((size, seed))
 }
 
-fn run_one_and_print(params: &ScaleParams, size: usize, sched: Scheduler, seed: u64) {
+fn run_one_and_print(params: &ScaleParams, size: usize, seed: u64) {
     let disabled = metrics::handle::MetricsHandle::disabled();
     let t0 = Instant::now();
-    let cell = run_scale_once_sched(params, size, sched, &disabled, seed);
+    let cell = run_scale_once(params, size, &disabled, seed);
     let wall = t0.elapsed().as_secs_f64();
-    // Bit-exact fields so the parent's differential check loses nothing
+    // Bit-exact fields so the parent's determinism check loses nothing
     // in transit.
     println!(
         "{} {} {} {} {} {} {} {} {} {} {} {} {}",
@@ -94,21 +81,17 @@ fn run_one_and_print(params: &ScaleParams, size: usize, sched: Scheduler, seed: 
 }
 
 /// Runs one timed cell in a fresh process and parses its report.
-fn timed_child(preset: Preset, size: usize, sched: Scheduler, seed: u64) -> (f64, ScaleCell) {
+fn timed_child(preset: Preset, size: usize, seed: u64) -> (f64, ScaleCell) {
     let exe = std::env::current_exe().expect("own binary path");
     let mut cmd = Command::new(exe);
     if matches!(preset, Preset::Paper) {
         cmd.arg("--paper");
     }
-    let name = match sched {
-        Scheduler::Heap => "heap",
-        Scheduler::Wheel => "wheel",
-    };
     let out = cmd
-        .args(["--one", &size.to_string(), name, &seed.to_string()])
+        .args(["--one", &size.to_string(), &seed.to_string()])
         .output()
         .expect("spawn timed child");
-    assert!(out.status.success(), "timed child failed for {size} {name}");
+    assert!(out.status.success(), "timed child failed for {size} peers");
     let text = String::from_utf8(out.stdout).expect("child report is UTF-8");
     let f: Vec<u64> = text
         .split_whitespace()
@@ -153,16 +136,13 @@ fn scale_json(preset: Preset, vsecs: f64, results: &[SizeResult]) -> String {
         json_f(vsecs)
     ));
     for (i, r) in results.iter().enumerate() {
-        let opt = |x: Option<f64>| x.map_or("null".to_string(), json_f);
         out.push_str(&format!(
             concat!(
                 "    {{\"peers\": {}, \"events\": {}, \"queue_peak\": {}, ",
                 "\"scheduled\": {}, \"cancelled\": {}, \"stall_aborts\": {}, ",
                 "\"solver_full\": {}, \"solver_incremental\": {}, ",
                 "\"solver_class\": {}, \"solver_resources_touched\": {}, ",
-                "\"heap_wall_secs\": {}, \"wheel_wall_secs\": {}, ",
-                "\"heap_wall_per_vsec\": {}, \"wheel_wall_per_vsec\": {}, ",
-                "\"wheel_speedup\": {}, \"identical\": {}}}{}\n"
+                "\"wall_secs\": {}, \"wall_per_vsec\": {}, \"identical\": {}}}{}\n"
             ),
             r.peers,
             r.cell.events,
@@ -174,11 +154,8 @@ fn scale_json(preset: Preset, vsecs: f64, results: &[SizeResult]) -> String {
             r.cell.solver_incremental,
             r.cell.solver_class,
             r.cell.solver_resources_touched,
-            opt(r.heap_wall),
-            json_f(r.wheel_wall),
-            opt(r.heap_wall.map(|h| h / vsecs)),
-            json_f(r.wheel_wall / vsecs),
-            opt(r.heap_wall.map(|h| h / r.wheel_wall.max(1e-9))),
+            json_f(r.wall),
+            json_f(r.wall / vsecs),
             r.identical
                 .map_or("null".to_string(), |b| b.to_string()),
             if i + 1 < results.len() { "," } else { "" }
@@ -194,8 +171,8 @@ fn main() {
         Preset::Quick => ScaleParams::quick(),
         Preset::Paper => ScaleParams::paper(),
     };
-    if let Some((size, sched, seed)) = one_from_args() {
-        run_one_and_print(&params, size, sched, seed);
+    if let Some((size, seed)) = one_from_args() {
+        run_one_and_print(&params, size, seed);
         return;
     }
     preamble("Scale sweep", preset);
@@ -210,53 +187,43 @@ fn main() {
     let mut all_identical = true;
     for (point, &size) in sizes.iter().enumerate() {
         let seed = p2p_simulation::harness::cell_seed(SCALE_SEED, point, 0);
-        // Two timed runs per scheduler, each in a fresh child process,
-        // in alternating order (heap, wheel, wheel, heap) so any
-        // machine-level drift over the four runs cancels; keep the
-        // per-scheduler minimum (the least-disturbed measurement).
-        let timed = |s: Scheduler| timed_child(preset, size, s, seed);
-        let (h1, heap) = timed(Scheduler::Heap);
-        let (w1, wheel) = timed(Scheduler::Wheel);
-        let (w2, wheel2) = timed(Scheduler::Wheel);
-        let (h2, heap2) = timed(Scheduler::Heap);
-        let heap_wall = h1.min(h2);
-        let wheel_wall = w1.min(w2);
-        let identical = heap == wheel && wheel == wheel2 && heap == heap2;
+        // Two timed runs, each in a fresh child process; keep the
+        // minimum (the least-disturbed measurement).
+        let (w1, cell) = timed_child(preset, size, seed);
+        let (w2, cell2) = timed_child(preset, size, seed);
+        let wall = w1.min(w2);
+        let identical = cell == cell2;
         if !identical {
             all_identical = false;
-            eprintln!("DIFFERENTIAL MISMATCH at {size} peers:\n  heap:  {heap:?}\n  wheel: {wheel:?}");
+            eprintln!("REPLAY MISMATCH at {size} peers:\n  run 1: {cell:?}\n  run 2: {cell2:?}");
         }
         eprintln!(
-            "  {size:>5} peers: heap {heap_wall:>7.2}s, wheel {wheel_wall:>7.2}s \
-             ({:.1} ms/vsec vs {:.1} ms/vsec), {} events{}",
-            1e3 * heap_wall / vsecs,
-            1e3 * wheel_wall / vsecs,
-            wheel.events,
+            "  {size:>5} peers: {wall:>7.2}s ({:.1} ms/vsec), {} events{}",
+            1e3 * wall / vsecs,
+            cell.events,
             if identical { "" } else { "  [MISMATCH]" }
         );
         results.push(SizeResult {
             peers: size,
-            cell: wheel,
-            heap_wall: Some(heap_wall),
-            wheel_wall,
+            cell,
+            wall,
             identical: Some(identical),
         });
     }
     if xl_from_args() {
-        // Wheel-only trend rows at the XL sizes; one child each.
+        // Single-run trend rows at the XL sizes.
         for (i, &size) in [16_384usize, 65_536].iter().enumerate() {
             let seed = p2p_simulation::harness::cell_seed(SCALE_SEED, sizes.len() + i, 0);
-            let (wall, cell) = timed_child(preset, size, Scheduler::Wheel, seed);
+            let (wall, cell) = timed_child(preset, size, seed);
             eprintln!(
-                "  {size:>5} peers: wheel {wall:>7.2}s ({:.1} ms/vsec), {} events [xl trend]",
+                "  {size:>5} peers: {wall:>7.2}s ({:.1} ms/vsec), {} events [xl trend]",
                 1e3 * wall / vsecs,
                 cell.events,
             );
             results.push(SizeResult {
                 peers: size,
                 cell,
-                heap_wall: None,
-                wheel_wall: wall,
+                wall,
                 identical: None,
             });
         }
@@ -266,8 +233,8 @@ fn main() {
         Ok(()) => eprintln!("wrote BENCH_scale.json ({} sizes)", results.len()),
         Err(e) => eprintln!("could not write BENCH_scale.json: {e}"),
     }
-    // The registry experiment's deterministic table (wheel, env-default
-    // sizes), plus metrics if requested.
+    // The registry experiment's deterministic table (preset sizes), plus
+    // metrics if requested.
     let out = metrics_out_from_args();
     let handle = metrics_handle(out.as_deref(), SCALE_SEED);
     let points = run_scale_with(&params, &handle, SCALE_SEED);
@@ -275,5 +242,5 @@ fn main() {
     if let Some(dir) = &out {
         dump_metrics(dir, "scale", &handle);
     }
-    assert!(all_identical, "heap and wheel schedulers diverged");
+    assert!(all_identical, "repeated runs of one cell diverged");
 }

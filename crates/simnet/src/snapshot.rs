@@ -1,8 +1,8 @@
 //! Deterministic world snapshots.
 //!
 //! A snapshot is a versioned, little-endian binary blob capturing the
-//! *dynamic* state of a simulation world — clocks, event queues (both
-//! scheduler backends, verbatim, so outstanding [`crate::event::EventToken`]s
+//! *dynamic* state of a simulation world — clocks, event queues (the
+//! timer-wheel slab verbatim, so outstanding [`crate::event::EventToken`]s
 //! stay valid), RNG streams, protocol state machines, and metric cells.
 //! Static structure (topology, torrent specs, config closures, piece
 //! pickers) is deliberately excluded: a blob is restored *onto* a world
@@ -25,7 +25,7 @@ pub const MAGIC: &[u8; 8] = b"WP2PSNAP";
 /// Bumped on any change to the field order or encoding of any
 /// [`Snap`] implementation. Restoring a blob with a mismatched version
 /// fails loudly instead of misinterpreting bytes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Serializer: appends fixed-width little-endian fields to a byte buffer.
 #[derive(Debug, Default)]

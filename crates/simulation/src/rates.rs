@@ -32,8 +32,8 @@
 //! compare with a tolerance. What *is* bit-exact — asserted in debug
 //! builds on every incremental solve — is incremental vs. full solves of
 //! the engine itself: both decompose into the same components and run the
-//! same kernel arithmetic, so `WP2P_RATE_SOLVER=full` replays are
-//! byte-identical to the incremental default.
+//! same kernel arithmetic, so a [`SolverMode::Full`] engine is the
+//! bit-exact reference the incremental default is tested against.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -271,19 +271,8 @@ pub enum SolverMode {
     Incremental,
     /// Re-solve the whole population on every dirty solve. Same kernel,
     /// same component decomposition — byte-identical outputs, used as
-    /// the replay reference in CI.
+    /// the reference engine in the solver tests.
     Full,
-}
-
-impl SolverMode {
-    /// Reads `WP2P_RATE_SOLVER` (`incremental` | `full`); defaults to
-    /// [`SolverMode::Incremental`].
-    pub fn from_env() -> Self {
-        match std::env::var("WP2P_RATE_SOLVER").as_deref() {
-            Ok("full") => SolverMode::Full,
-            _ => SolverMode::Incremental,
-        }
-    }
 }
 
 /// Cumulative [`RateEngine`] work counters, for the perf trajectory.
@@ -575,11 +564,6 @@ impl RateEngine {
             #[cfg(debug_assertions)]
             verify_rates: Vec::new(),
         }
-    }
-
-    /// The active solve strategy.
-    pub fn mode(&self) -> SolverMode {
-        self.mode
     }
 
     /// Work counters so far.
@@ -1293,12 +1277,5 @@ mod tests {
         e.solve();
         assert!(close(e.rate(0), 25.0));
         assert!(close(e.rate(1), 25.0));
-    }
-
-    #[test]
-    fn solver_mode_env_parsing() {
-        // Only inspects the parser default; the env var itself is read
-        // once at world construction.
-        assert_eq!(SolverMode::from_env(), SolverMode::from_env());
     }
 }

@@ -134,6 +134,9 @@ fn mobility_disrupts_but_recovers() {
         late > early,
         "no progress after the first hand-offs: early={early} late={late}"
     );
+    // Debug builds check every incremental solve bit-for-bit against a
+    // full solve; the hand-offs must drive solves through that check.
+    assert!(w.solver_stats().incremental_solves > 0);
 }
 
 /// Identity retention keeps tit-for-tat credit across hand-offs: the
