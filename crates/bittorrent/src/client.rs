@@ -240,6 +240,14 @@ struct AddrState {
     connected: bool,
 }
 
+impl AddrState {
+    /// The retry budget is spent: nothing will dial the address again
+    /// ([`ConnState::Dead`] unless a connection is up).
+    fn is_dead(&self, res: &ResilienceConfig) -> bool {
+        self.next_attempt == SimTime::MAX || (res.armed && self.failures >= res.max_dial_attempts)
+    }
+}
+
 /// A BitTorrent client session for one torrent. See the module docs.
 ///
 /// ```
@@ -283,6 +291,12 @@ pub struct Client {
     /// keeping them out of the scan makes the drain cost proportional
     /// to pending uploads instead of to the connection count.
     upload_ready: std::collections::BTreeSet<ConnKey>,
+    /// Connections that are unchoking us and that we are interested in,
+    /// in key order: the only ones `fill_requests` can act on. Updated
+    /// wherever `peer_choking` or `am_interested` changes and when a
+    /// connection goes away. Derived state: never snapshotted, rebuilt
+    /// on restore.
+    fillable: std::collections::BTreeSet<ConnKey>,
     next_conn: ConnKey,
     availability: Vec<u32>,
     /// Known swarm addresses and dial bookkeeping.
@@ -299,6 +313,17 @@ pub struct Client {
     /// lifecycle machine are evicted at rechoke — without this map a
     /// churn-heavy run grows `credit`/`served` without bound.
     id_addr: FastHashMap<PeerId, SimAddr>,
+    /// Set by every transition that can make a standing entry evictable,
+    /// cleared by the eviction pass. An entry is evictable when it is
+    /// zero, its peer-id has no live connection, and the id's address is
+    /// Dead or unknown. So the transitions are: a dial failure that
+    /// leaves its address Dead, a departing connection whose address or
+    /// peer-id's address is Dead or unknown, a decay flush to zero, and
+    /// a restore. Handshakes, new addresses and revivals only make
+    /// entries less evictable. One pass removes everything evictable at
+    /// that moment, so while the flag is clear the pass would remove
+    /// nothing and is skipped.
+    standing_dirty: bool,
     actions: VecDeque<Action>,
     rng: SimRng,
     /// Dedicated stream for backoff jitter, forked from `rng` at
@@ -391,6 +416,7 @@ impl Client {
             progress,
             conns: FastHashMap::default(),
             upload_ready: std::collections::BTreeSet::new(),
+            fillable: std::collections::BTreeSet::new(),
             next_conn: 1,
             availability: vec![0; num_pieces],
             addrs: FastHashMap::default(),
@@ -398,6 +424,7 @@ impl Client {
             credit: FastHashMap::default(),
             served: FastHashMap::default(),
             id_addr: FastHashMap::default(),
+            standing_dirty: false,
             actions: VecDeque::new(),
             backoff_rng: rng.fork(0xBAC0FF),
             rng,
@@ -628,9 +655,7 @@ impl Client {
             } else {
                 ConnState::Established
             }
-        } else if st.next_attempt == SimTime::MAX
-            || (res.armed && st.failures >= res.max_dial_attempts)
-        {
+        } else if st.is_dead(&res) {
             ConnState::Dead
         } else if st.next_attempt > now {
             ConnState::BackingOff
@@ -782,6 +807,7 @@ impl Client {
                     .dial_backoff
                     .saturating_mul(1u64 << st.failures.min(4))
             };
+            self.standing_dirty |= st.is_dead(&res);
         }
     }
 
@@ -791,6 +817,7 @@ impl Client {
             return;
         };
         self.upload_ready.remove(&conn);
+        self.fillable.remove(&conn);
         for p in peer.have.iter_set() {
             self.availability[p as usize] -= 1;
         }
@@ -806,7 +833,23 @@ impl Client {
                 now + self.config.dial_backoff
             };
         }
+        self.note_departure(peer.addr, peer.peer_id);
         self.choker.invalidate();
+    }
+
+    /// Marks standing for eviction if a departed connection can have
+    /// made an entry evictable: its address is Dead or unknown (every id
+    /// filed under it is now disconnected), or its peer-id, which may
+    /// have just lost its last live connection, is filed under such an
+    /// address.
+    fn note_departure(&mut self, addr: SimAddr, id: Option<PeerId>) {
+        let abandoned = |a: &SimAddr| {
+            self.addrs
+                .get(a)
+                .is_none_or(|st| st.is_dead(&self.config.resilience))
+        };
+        self.standing_dirty |=
+            abandoned(&addr) || id.is_some_and(|id| self.id_addr.get(&id).is_none_or(abandoned));
     }
 
     /// A connection was aborted for lack of progress (the world's stall
@@ -825,6 +868,7 @@ impl Client {
             return;
         };
         self.upload_ready.remove(&conn);
+        self.fillable.remove(&conn);
         for p in peer.have.iter_set() {
             self.availability[p as usize] -= 1;
         }
@@ -838,6 +882,7 @@ impl Client {
                 now + res.dial.delay(st.failures - 1, &mut self.backoff_rng)
             };
         }
+        self.note_departure(peer.addr, peer.peer_id);
         self.choker.invalidate();
     }
 
@@ -905,11 +950,15 @@ impl Client {
                     // Outstanding requests will not be served; requeue.
                     peer.inflight.clear();
                 }
+                self.fillable.remove(&conn);
                 self.progress.cancel_conn(conn);
             }
             Message::Unchoke => {
                 if let Some(peer) = self.conns.get_mut(&conn) {
                     peer.peer_choking = false;
+                    if peer.am_interested {
+                        self.fillable.insert(conn);
+                    }
                 }
                 self.fill_requests(conn, now);
             }
@@ -1023,9 +1072,7 @@ impl Client {
                     );
                 }
                 Some(st) => {
-                    let dead = st.next_attempt == SimTime::MAX
-                        || (res.armed && st.failures >= res.max_dial_attempts);
-                    if dead && !st.connected {
+                    if st.is_dead(&res) && !st.connected {
                         st.failures = 0;
                         st.next_attempt = now;
                     }
@@ -1268,18 +1315,14 @@ impl Client {
             self.rechoke(now);
         }
         // Refill pipelines (newly freed blocks, timeout requeues). Only
-        // unchoked connections we are interested in can take requests —
-        // `fill_requests` is a no-op on the rest, so skip them wholesale
-        // rather than paying a map lookup per connection to find out.
-        // Sorted, so the request order is deterministic (hash order is
-        // not) and matches the old full sweep's with the no-ops elided.
-        let mut fillable: Vec<ConnKey> = self
-            .conns
-            .iter()
-            .filter(|(_, p)| !p.peer_choking && p.am_interested)
-            .map(|(k, _)| *k)
-            .collect();
-        fillable.sort_unstable();
+        // unchoked connections we are interested in can take requests,
+        // and `fillable` holds exactly those in key order, so the
+        // request order is deterministic.
+        debug_assert!(
+            self.fillable.iter().copied().eq(self.scan_fillable()),
+            "fillable set out of step with the connection table"
+        );
+        let fillable: Vec<ConnKey> = self.fillable.iter().copied().collect();
         for conn in fillable {
             self.fill_requests(conn, now);
         }
@@ -1375,19 +1418,25 @@ impl Client {
         self.last_decay = now;
         if dt > 0.0 {
             let factor = (-dt / HISTORY_TAU_SECS).exp();
-            for v in self.credit.values_mut() {
+            for v in self.credit.values_mut().chain(self.served.values_mut()) {
                 *v *= factor;
                 if *v < HISTORY_EPSILON {
+                    // A flush to zero can make an entry evictable.
+                    self.standing_dirty |= *v != 0.0;
                     *v = 0.0;
                 }
             }
-            for v in self.served.values_mut() {
-                *v *= factor;
-                if *v < HISTORY_EPSILON {
-                    *v = 0.0;
-                }
+            if std::mem::take(&mut self.standing_dirty) {
+                self.evict_dead_standing();
+            } else if cfg!(debug_assertions) {
+                let before = self.standing_table_sizes();
+                self.evict_dead_standing();
+                debug_assert_eq!(
+                    self.standing_table_sizes(),
+                    before,
+                    "skipped eviction pass would have evicted"
+                );
             }
-            self.evict_dead_standing();
         }
         let seeding = self.is_seed();
         // Seed-side service order: the policy decides how much standing
@@ -1451,7 +1500,7 @@ impl Client {
             }
         }
         let decision = self.choker.rechoke(now, &snapshots, &mut self.rng);
-        for conn in self.connections() {
+        for conn in speers.iter().map(|sp| sp.key) {
             let unchoke = decision.unchoked.contains(&conn);
             let Some(peer) = self.conns.get_mut(&conn) else {
                 continue;
@@ -1503,11 +1552,7 @@ impl Client {
                 return false;
             }
             match id_addr.get(id).and_then(|a| addrs.get(a)) {
-                Some(st) => {
-                    !st.connected
-                        && (st.next_attempt == SimTime::MAX
-                            || (res.armed && st.failures >= res.max_dial_attempts))
-                }
+                Some(st) => !st.connected && st.is_dead(&res),
                 None => true,
             }
         };
@@ -1518,6 +1563,19 @@ impl Client {
         self.id_addr.retain(|id, _| {
             credit.contains_key(id) || served.contains_key(id) || live.binary_search(id).is_ok()
         });
+    }
+
+    /// The connections `fillable` must hold, in key order, found by a
+    /// full sweep of the connection table.
+    fn scan_fillable(&self) -> Vec<ConnKey> {
+        let mut keys: Vec<ConnKey> = self
+            .conns
+            .iter()
+            .filter(|(_, p)| !p.peer_choking && p.am_interested)
+            .map(|(k, _)| *k)
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     fn drain_uploads(&mut self, now: SimTime) {
@@ -1604,12 +1662,16 @@ impl Client {
             .is_some();
         if want && !peer.am_interested {
             peer.am_interested = true;
+            if !peer.peer_choking {
+                self.fillable.insert(conn);
+            }
             self.actions.push_back(Action::Send {
                 conn,
                 msg: Message::Interested,
             });
         } else if !want && peer.am_interested {
             peer.am_interested = false;
+            self.fillable.remove(&conn);
             self.actions.push_back(Action::Send {
                 conn,
                 msg: Message::NotInterested,
@@ -1784,6 +1846,7 @@ impl Client {
         self.peer_id = Snap::unsnap(r);
         self.progress = Snap::unsnap(r);
         self.conns = unsnap_hash_map(r);
+        self.fillable = self.scan_fillable().into_iter().collect();
         self.upload_ready = Snap::unsnap(r);
         self.next_conn = r.get_u64();
         self.availability = Snap::unsnap(r);
@@ -1792,6 +1855,7 @@ impl Client {
         self.credit = unsnap_hash_map(r);
         self.served = unsnap_hash_map(r);
         self.id_addr = unsnap_hash_map(r);
+        self.standing_dirty = true;
         self.actions = Snap::unsnap(r);
         self.rng = Snap::unsnap(r);
         self.backoff_rng = Snap::unsnap(r);
@@ -2527,6 +2591,239 @@ mod tests {
         c.on_tick(SimTime::from_secs(20_000));
         drain(&mut c);
         assert_eq!(c.standing_table_sizes(), (0, 0, 0), "decayed entry kept");
+    }
+
+    /// Random choke / unchoke / have / bitfield / not-interested /
+    /// piece / close traffic over a handful of connections: after every
+    /// step the maintained `fillable` set equals a full table scan.
+    #[test]
+    fn fillable_set_matches_a_full_scan_under_random_traffic() {
+        const PIECES: u32 = 32;
+        let mut fillable_steps = 0;
+        for seed in 0..32 {
+            let mut rng = SimRng::new(seed);
+            let mut c = Client::with_progress(
+                ClientConfig::default(),
+                InfoHash([1; 20]),
+                PeerId([7; 20]),
+                TorrentProgress::new(PIECE, u64::from(PIECE * PIECES)),
+                SimAddr(1),
+                SimRng::new(seed),
+            );
+            let mut live: Vec<ConnKey> = Vec::new();
+            for step in 0..400u64 {
+                let now = SimTime::from_millis(250 * step);
+                if live.len() < 2 || (live.len() < 6 && rng.chance(0.1)) {
+                    let n = step as u8;
+                    let conn = c.on_incoming(SimAddr(100 + step as u32), now);
+                    c.on_message(
+                        conn,
+                        Message::Handshake {
+                            info_hash: InfoHash([1; 20]),
+                            peer_id: PeerId([n.wrapping_add(8); 20]),
+                        },
+                        now,
+                    );
+                } else {
+                    let conn = *rng.choose(&live).expect("non-empty");
+                    let msg = match rng.range(0..8u32) {
+                        0 => Message::Choke,
+                        1 | 2 => Message::Unchoke,
+                        3 => Message::Have {
+                            // One past the end: a protocol error that
+                            // closes the connection.
+                            index: rng.range(0..PIECES + 1),
+                        },
+                        4 => {
+                            let len = if rng.chance(0.05) { PIECES + 1 } else { PIECES };
+                            let mut bf = Bitfield::new(len);
+                            for p in 0..len {
+                                if rng.chance(0.5) {
+                                    bf.set(p);
+                                }
+                            }
+                            Message::Bitfield(bf)
+                        }
+                        5 => Message::NotInterested,
+                        6 => match c.conns.get(&conn).and_then(|p| p.inflight.first()) {
+                            Some(&block) => Message::Piece(block),
+                            None => Message::KeepAlive,
+                        },
+                        _ => {
+                            c.on_conn_closed(conn, now);
+                            Message::KeepAlive
+                        }
+                    };
+                    c.on_message(conn, msg, now);
+                }
+                if step % 8 == 0 {
+                    c.on_tick(now);
+                }
+                drain(&mut c);
+                live = c.connections();
+                assert_eq!(
+                    c.fillable.iter().copied().collect::<Vec<_>>(),
+                    c.scan_fillable(),
+                    "seed {seed} step {step}"
+                );
+                fillable_steps += usize::from(!c.fillable.is_empty());
+            }
+        }
+        assert!(
+            fillable_steps > 1000,
+            "too few fillable states: {fillable_steps}"
+        );
+    }
+
+    /// The close leaves the address backing off, not Dead, so it arms no
+    /// eviction pass. The dial failure that spends the retry budget does,
+    /// and the very next rechoke evicts the zero-credit peer-id.
+    #[test]
+    fn dial_failures_alone_trigger_eviction_at_next_rechoke() {
+        let mut res = ResilienceConfig::armed();
+        res.max_dial_attempts = 2;
+        let mut c = armed_client(res);
+        establish(&mut c, SimTime::ZERO);
+        c.on_conn_closed(1, SimTime::from_secs(5));
+        assert!(!c.standing_dirty, "a backing-off address evicts nothing");
+        c.on_tick(SimTime::from_secs(10));
+        c.on_tick(SimTime::from_secs(20));
+        drain(&mut c);
+        assert_eq!(c.standing_table_sizes(), (1, 0, 1));
+        c.on_conn_failed(SimAddr(5), SimTime::from_secs(21));
+        assert!(!c.standing_dirty, "one failure left budget to spend");
+        c.on_conn_failed(SimAddr(5), SimTime::from_secs(22));
+        assert!(c.standing_dirty, "the spent budget must arm the pass");
+        assert_eq!(
+            c.lifecycle_of(SimAddr(5), SimTime::from_secs(22)),
+            Some(ConnState::Dead)
+        );
+        assert_eq!(c.standing_table_sizes(), (1, 0, 1));
+        let rechokes = c.choker.rechokes();
+        c.on_tick(SimTime::from_secs(30));
+        drain(&mut c);
+        assert_eq!(c.choker.rechokes(), rechokes + 1);
+        assert_eq!(c.standing_table_sizes(), (0, 0, 0), "dead zero-credit leak");
+    }
+
+    /// A connection that closes while its address is already Dead (a
+    /// parallel redial spent the budget while it was up) arms the pass
+    /// itself: the departing peer-id's zero standing is evicted at the
+    /// next rechoke.
+    #[test]
+    fn departure_from_dead_address_triggers_eviction() {
+        let mut res = ResilienceConfig::armed();
+        res.max_dial_attempts = 2;
+        let mut c = armed_client(res);
+        establish(&mut c, SimTime::ZERO);
+        c.on_conn_failed(SimAddr(5), SimTime::from_secs(1));
+        c.on_conn_failed(SimAddr(5), SimTime::from_secs(2));
+        // The peer is still connected, so the pass keeps its entry.
+        c.on_tick(SimTime::from_secs(10));
+        drain(&mut c);
+        assert_eq!(c.standing_table_sizes(), (1, 0, 1));
+        assert!(!c.standing_dirty);
+        c.on_conn_closed(1, SimTime::from_secs(11));
+        assert!(c.standing_dirty, "leaving a Dead address must arm the pass");
+        c.on_tick(SimTime::from_secs(20));
+        drain(&mut c);
+        assert_eq!(c.standing_table_sizes(), (0, 0, 0), "dead zero-credit leak");
+    }
+
+    /// The departing connection's own address may be fine while its
+    /// peer-id is filed under another, Dead address (the id's latest
+    /// handshake came from there): that departure arms the pass too.
+    #[test]
+    fn departure_of_id_filed_under_dead_address_triggers_eviction() {
+        let mut res = ResilienceConfig::armed();
+        res.max_dial_attempts = 2;
+        let mut c = armed_client(res);
+        let id = PeerId([2; 20]);
+        let hello = Message::Handshake {
+            info_hash: InfoHash([1; 20]),
+            peer_id: id,
+        };
+        let first = c.on_incoming(SimAddr(5), SimTime::ZERO);
+        c.on_message(first, hello.clone(), SimTime::ZERO);
+        let second = c.on_incoming(SimAddr(6), SimTime::from_secs(1));
+        c.on_message(second, hello, SimTime::from_secs(1));
+        c.on_conn_closed(second, SimTime::from_secs(2));
+        c.on_conn_failed(SimAddr(6), SimTime::from_secs(3));
+        c.on_conn_failed(SimAddr(6), SimTime::from_secs(4));
+        c.on_tick(SimTime::from_secs(10));
+        drain(&mut c);
+        assert_eq!(c.standing_table_sizes(), (1, 0, 1));
+        assert!(!c.standing_dirty);
+        c.on_conn_closed(first, SimTime::from_secs(11));
+        assert!(c.standing_dirty, "the id's Dead address must arm the pass");
+        c.on_tick(SimTime::from_secs(20));
+        drain(&mut c);
+        assert_eq!(c.standing_table_sizes(), (0, 0, 0), "dead zero-credit leak");
+    }
+
+    /// Earned credit on a Dead address survives passes until decay
+    /// flushes it to zero; the flush alone re-arms the pass.
+    #[test]
+    fn decay_flush_alone_triggers_eviction_of_dead_standing() {
+        let mut res = ResilienceConfig::armed();
+        res.max_dial_attempts = 2;
+        let mut c = armed_client(res);
+        establish(&mut c, SimTime::ZERO);
+        let block = c.conns.get(&1).unwrap().inflight[0];
+        c.on_message(1, Message::Piece(block), SimTime::from_secs(1));
+        c.on_conn_closed(1, SimTime::from_secs(2));
+        c.on_conn_failed(SimAddr(5), SimTime::from_secs(3));
+        c.on_conn_failed(SimAddr(5), SimTime::from_secs(4));
+        c.on_tick(SimTime::from_secs(10));
+        c.on_tick(SimTime::from_secs(20));
+        drain(&mut c);
+        assert!(c.credit_of(PeerId([2; 20])) > 0.0);
+        assert_eq!(c.standing_table_sizes(), (1, 0, 1));
+        assert!(!c.standing_dirty, "a clean pass leaves nothing to redo");
+        // Hours later the credit has decayed below the flush epsilon.
+        c.on_tick(SimTime::from_secs(20_000));
+        drain(&mut c);
+        assert_eq!(c.standing_table_sizes(), (0, 0, 0), "decayed entry kept");
+    }
+
+    /// Unarmed, nothing ever marks an address Dead and every handshaken
+    /// peer-id is filed under a known address, so nothing is ever
+    /// evictable: under churn the standing tables only grow, no
+    /// transition arms the pass, and the gate skips every pass (the
+    /// debug build still runs each one and checks it removed nothing).
+    #[test]
+    fn unarmed_standing_never_shrinks_under_churn() {
+        let mut c = client(false);
+        let mut sizes = c.standing_table_sizes();
+        for i in 0..40u32 {
+            let now = SimTime::from_secs(600 * u64::from(i));
+            let addr = SimAddr(10 + i % 7);
+            c.seed_known_addrs(&[addr], now);
+            c.on_connected(1000 + u64::from(i), addr, now);
+            c.on_message(
+                1000 + u64::from(i),
+                Message::Handshake {
+                    info_hash: InfoHash([1; 20]),
+                    peer_id: PeerId([(i % 11) as u8 + 20; 20]),
+                },
+                now,
+            );
+            c.on_tick(now);
+            c.on_conn_closed(1000 + u64::from(i), now + SimDuration::from_secs(1));
+            for _ in 0..6 {
+                c.on_conn_failed(addr, now + SimDuration::from_secs(2));
+            }
+            assert!(!c.standing_dirty, "round {i}: churn armed the pass");
+            c.on_tick(now + SimDuration::from_secs(300));
+            drain(&mut c);
+            let now_sizes = c.standing_table_sizes();
+            assert!(
+                now_sizes.0 >= sizes.0 && now_sizes.1 >= sizes.1 && now_sizes.2 >= sizes.2,
+                "round {i}: {sizes:?} shrank to {now_sizes:?}"
+            );
+            sizes = now_sizes;
+        }
+        assert_eq!(sizes, (11, 0, 11), "every peer-id ever seen is kept");
     }
 
     #[test]

@@ -377,6 +377,12 @@ struct ConnArena {
     /// O(1) timer traffic per timeout window instead of a cancel +
     /// re-schedule per progressing connection per tick.
     last_progress: Vec<SimTime>,
+    /// One bit per slot: set on every live, non-dead slot with a
+    /// non-empty queue (and possibly on a dead one, until the next
+    /// transfer step clears it). Set when a queue turns non-empty,
+    /// cleared by the transfer step once both queues drained. Derived
+    /// state: never snapshotted, rebuilt on restore.
+    busy: Vec<u64>,
     free: Vec<u32>,
     next_uid: u64,
 }
@@ -411,6 +417,9 @@ impl ConnArena {
             self.dead_since.push(None);
             self.stall.push(None);
             self.last_progress.push(SimTime::ZERO);
+            if slot.is_multiple_of(64) {
+                self.busy.push(0);
+            }
             ConnId { slot, gen: 0 }
         }
     }
@@ -433,11 +442,45 @@ impl ConnArena {
         self.ba[s].queue.clear();
         self.ba[s].head_remaining = 0.0;
         self.stall[s] = None;
+        self.clear_busy(s);
         self.free.push(id.slot);
     }
 
     fn slot_count(&self) -> usize {
         self.live.len()
+    }
+
+    fn mark_busy(&mut self, s: usize) {
+        self.busy[s / 64] |= 1 << (s % 64);
+    }
+
+    fn clear_busy(&mut self, s: usize) {
+        self.busy[s / 64] &= !(1 << (s % 64));
+    }
+
+    #[cfg(any(test, debug_assertions))]
+    fn is_busy(&self, s: usize) -> bool {
+        self.busy[s / 64] & (1 << (s % 64)) != 0
+    }
+
+    /// The busy slots in ascending order.
+    fn busy_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.busy.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + b
+                })
+            })
+        })
+    }
+
+    /// Whether a live slot still has a message queued in either
+    /// direction.
+    fn has_queued(&self, s: usize) -> bool {
+        !self.ab[s].queue.is_empty() || !self.ba[s].queue.is_empty()
     }
 }
 
@@ -1105,10 +1148,7 @@ impl FlowWorld {
                 Ev::StallCheck { cid } => {
                     if let Some(s) = self.conns.check(cid) {
                         self.conns.stall[s] = None;
-                        if self.conns.dead_since[s].is_none()
-                            && !(self.conns.ab[s].queue.is_empty()
-                                && self.conns.ba[s].queue.is_empty())
-                        {
+                        if self.conns.dead_since[s].is_none() && self.conns.has_queued(s) {
                             let deadline =
                                 self.conns.last_progress[s] + self.cfg.stall_timeout.unwrap_or(SimDuration::ZERO);
                             if now >= deadline {
@@ -1274,6 +1314,13 @@ impl FlowWorld {
                     !self.conns.ba[s].queue.is_empty() || !self.engine.has_flow(2 * s + 1),
                     "drained conn slot {s} dir ba still registered in the solver"
                 );
+                // Busy-set invariant: the transfer step visits only busy
+                // slots, so a queued slot missing from the set would
+                // never move its bytes or arm its stall watchdog.
+                debug_assert!(
+                    !self.conns.has_queued(s) || self.conns.is_busy(s),
+                    "queued conn slot {s} missing from the busy set"
+                );
             }
             let mut ck = std::mem::take(&mut self.checker);
             ck.check_flow(self);
@@ -1299,9 +1346,9 @@ impl FlowWorld {
             return 0.0;
         }
         let mut used = 0.0;
-        // Dense sweep: drained directions hold no engine flow, so they
-        // read rate zero and cannot contribute.
-        for s in 0..self.conns.slot_count() {
+        // Idle slots hold no engine flow, so they read rate zero and
+        // cannot contribute: the busy set is enough.
+        for s in self.conns.busy_slots() {
             if !self.conns.live[s] || self.conns.dead_since[s].is_some() {
                 continue;
             }
@@ -1319,13 +1366,14 @@ impl FlowWorld {
         // Deliveries: (dst task, dst key, dst generation, src task, msg).
         let mut deliveries: Vec<(TaskKey, u64, u32, TaskKey, Message)> = Vec::new();
         let mut scratch: Vec<Message> = Vec::new();
-        // Dense arena sweep: the live/dead bitmaps and the engine's rate
-        // array are flat, so scanning every slot is cheaper at scale
-        // than maintaining an ordered active set — and slots without a
-        // positive rate fall through in a couple of loads.
+        // Only busy slots can move bytes or need the stall watchdog.
+        // Deliveries follow slot order; a slot leaves the busy set once
+        // both its queues have drained.
         let stall = self.cfg.stall_timeout;
-        for s in 0..self.conns.slot_count() {
+        let busy: Vec<usize> = self.conns.busy_slots().collect();
+        for s in busy {
             if !self.conns.live[s] || self.conns.dead_since[s].is_some() {
+                self.conns.clear_busy(s);
                 continue;
             }
             let mut progressed = false;
@@ -1358,14 +1406,16 @@ impl FlowWorld {
                     deliveries.push((dst.task, dst.key, dst.generation, src.task, msg));
                 }
             }
-            if self.conns.ab[s].queue.is_empty() && self.conns.ba[s].queue.is_empty() {
-                // Idle is healthy: refreshing the stamp keeps the stall
-                // clock from spanning idle gaps. Any armed timer is left
-                // to fire and disarm itself (see the `StallCheck`
-                // handler) — cancelling here and re-arming on the next
-                // queued byte would cost two wheel ops per ping-pong
-                // round trip, which at scale dwarfs the transfers.
+            if !self.conns.has_queued(s) {
+                // Idle is healthy: the stamp keeps the stall clock from
+                // spanning the idle gap (the `Send` that ends the gap
+                // restamps it). Any armed timer is left to fire and
+                // disarm itself (see the `StallCheck` handler) —
+                // cancelling here and re-arming on the next queued byte
+                // would cost two wheel ops per ping-pong round trip,
+                // which at scale dwarfs the transfers.
                 self.conns.last_progress[s] = now;
+                self.conns.clear_busy(s);
             } else if let Some(timeout) = stall {
                 // Lazy watchdog: progress is a timestamp write, nothing
                 // more. The timer re-arms itself on fire while progress
@@ -1595,6 +1645,7 @@ impl FlowWorld {
                 if let Some(&(cid, is_a)) = self.tasks[t].conn_index.get(&conn) {
                     if let Some(s) = self.conns.check(cid) {
                         let dir = if is_a { 0 } else { 1 };
+                        let was_idle = !self.conns.has_queued(s);
                         let q = if is_a {
                             &mut self.conns.ab[s]
                         } else {
@@ -1602,6 +1653,15 @@ impl FlowWorld {
                         };
                         let was_empty = q.queue.is_empty();
                         q.push(msg);
+                        if was_idle && self.conns.dead_since[s].is_none() {
+                            // Idle is healthy, so the stall clock
+                            // restarts at the last transfer step. The
+                            // slot joins the busy set even when its
+                            // queue gets no solver flow (black holes):
+                            // the watchdog must still arm on it.
+                            self.conns.mark_busy(s);
+                            self.conns.last_progress[s] = self.last_advance;
+                        }
                         if was_empty && self.conns.dead_since[s].is_none() {
                             // Demand appears. Black-holed endpoints
                             // keep the flow out of the solver: the
@@ -2751,7 +2811,7 @@ impl Snap for ConnArena {
     }
 
     fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        ConnArena {
+        let mut arena = ConnArena {
             gen: Snap::unsnap(r),
             live: Snap::unsnap(r),
             uid: Snap::unsnap(r),
@@ -2762,9 +2822,17 @@ impl Snap for ConnArena {
             dead_since: Snap::unsnap(r),
             stall: Snap::unsnap(r),
             last_progress: Snap::unsnap(r),
+            busy: Vec::new(),
             free: Snap::unsnap(r),
             next_uid: r.get_u64(),
+        };
+        arena.busy = vec![0; arena.slot_count().div_ceil(64)];
+        for s in 0..arena.slot_count() {
+            if arena.live[s] && arena.dead_since[s].is_none() && arena.has_queued(s) {
+                arena.mark_busy(s);
+            }
         }
+        arena
     }
 }
 
@@ -2962,8 +3030,36 @@ mod tests {
         // zero with data still queued) — the watchdog must abort the
         // stalled connection one timeout later.
         w.begin_blackhole(NodeId(seed_node as u32));
+        let blackholed_after_uid = w.conns.next_uid;
         w.run_until(SimTime::from_secs(30), |_| {});
         assert!(w.stall_aborts() > 0, "stalled transfer was never aborted");
+        // The leech redials the still black-holed seed. The new
+        // connection's handshake queues with no solver flow behind it
+        // (black-holed flows stay out of the rate problem), so only the
+        // busy set brings it to the watchdog — which must abort it too.
+        let first_aborts = w.stall_aborts();
+        let mut queued_without_flow = 0;
+        w.run_until(SimTime::from_secs(90), |w| {
+            for s in 0..w.conns.slot_count() {
+                if w.conns.live[s]
+                    && w.conns.uid[s] > blackholed_after_uid
+                    && w.conns.has_queued(s)
+                    && !w.engine.has_flow(2 * s)
+                    && !w.engine.has_flow(2 * s + 1)
+                {
+                    assert!(w.conns.is_busy(s), "queued slot {s} not busy");
+                    queued_without_flow += 1;
+                }
+            }
+        });
+        assert!(
+            queued_without_flow > 0,
+            "no connection queued data without a solver flow"
+        );
+        assert!(
+            w.stall_aborts() > first_aborts,
+            "a queued connection without a solver flow was never aborted"
+        );
     }
 
     /// Regression for the pre-lifecycle behaviour: a stall abort used to

@@ -15,7 +15,7 @@ use bittorrent::tracker::TrackerConfig;
 use p2p_simulation::flow::{Access, FlowConfig, FlowWorld, TaskKey, TaskSpec, TorrentSpec};
 use p2p_simulation::packet::{PacketConfig, PacketWorld};
 use simnet::addr::NodeId;
-use simnet::fault::{FaultInjector, FaultKind, FaultPlan, FaultPlanConfig};
+use simnet::fault::{FaultHooks, FaultInjector, FaultKind, FaultPlan, FaultPlanConfig};
 use simnet::rng::SimRng;
 use simnet::mobility::MobilityProcess;
 use simnet::time::{SimDuration, SimTime};
@@ -149,6 +149,60 @@ fn flow_snapshot_between_wheel_cascades() {
         SimTime::from_micros(33_333_337),
         at(80),
     );
+}
+
+/// Stall watchdog across a snapshot. At 2.1 s every connection sits
+/// idle with its lazily re-armed stall timer still pending, and the
+/// next tick makes several of them busy again — after the restore, so
+/// the rebuilt busy set (it is not saved) must pick them up. A black
+/// hole after the snapshot point then makes the watchdog abort for
+/// real.
+#[test]
+fn flow_snapshot_with_armed_stall_timers() {
+    let build = || {
+        let meta = Metainfo::synthetic("stall.bin", "tr", 256 * 1024, 16 * MB, 5);
+        let torrent = TorrentSpec::from_metainfo(&meta, 256 * 1024);
+        let cfg = FlowConfig {
+            stall_timeout: Some(secs(5)),
+            ..FlowConfig::default()
+        };
+        let mut w = FlowWorld::new(cfg, 5);
+        let seed_node = w.add_node(Access::campus());
+        w.add_task(TaskSpec::default_client(seed_node, torrent, true));
+        for _ in 0..3 {
+            let n = w.add_node(Access::residential());
+            w.add_task(TaskSpec::default_client(n, torrent, false));
+        }
+        w.start();
+        w
+    };
+    let finish = |w: &mut FlowWorld| {
+        w.run_until(at(40), |_| {});
+        w.begin_blackhole(NodeId(0));
+        w.run_until(at(70), |_| {});
+    };
+    let t1 = SimTime::from_micros(2_100_000);
+    let mut straight = build();
+    straight.run_until(t1, |_| {});
+    let blob = straight.save();
+    finish(&mut straight);
+    let want = straight.save();
+
+    let mut restored = build();
+    restored.restore(&blob);
+    finish(&mut restored);
+    let got = restored.save();
+
+    assert!(
+        want == got,
+        "restore-then-run diverged with armed stall timers"
+    );
+    assert_eq!(straight.queue_stats(), restored.queue_stats());
+    assert!(
+        straight.stall_aborts() > 0,
+        "the watchdog never aborted, so its path went unexercised"
+    );
+    assert_eq!(straight.stall_aborts(), restored.stall_aborts());
 }
 
 // ----------------------------------------------------------------------
